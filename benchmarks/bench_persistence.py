@@ -60,7 +60,8 @@ INGEST_RUNS_FULL = 120
 
 def run_ingest(runs: int, tasks: int = INGEST_TASKS) -> Dict[str, float]:
     """Ingest ``runs`` distinct executions durably and volatilely; then
-    time a from-scratch hydration of the durable log."""
+    time a from-scratch reopen (spec load included) and hydration of the
+    durable log."""
     spec = synthetic_workflow(20090931, tasks, shape="layered").spec
     executed = [execute(spec, run_id=f"run-{i}", inputs={
         task: f"batch-{i}" for task in spec.entry_tasks()})
@@ -81,8 +82,10 @@ def run_ingest(runs: int, tasks: int = INGEST_TASKS) -> Dict[str, float]:
         durable_s = time.perf_counter() - started
         durable.close()
 
-        reopened = DurableProvenanceStore(path)
+        # the clock covers the open too: parsing the pinned spec is part
+        # of every reopen a user pays for
         started = time.perf_counter()
+        reopened = DurableProvenanceStore(path)
         count = len(reopened)  # triggers the lazy hydration
         hydrate_s = time.perf_counter() - started
         assert count == runs

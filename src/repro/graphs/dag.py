@@ -37,8 +37,7 @@ class Digraph:
     def __init__(self, edges: Iterable[Tuple[Node, Node]] = ()) -> None:
         self._succ: Dict[Node, Dict[Node, None]] = {}
         self._pred: Dict[Node, Dict[Node, None]] = {}
-        for source, target in edges:
-            self.add_edge(source, target)
+        self.add_edges(edges)
 
     # -- construction ------------------------------------------------------
 
@@ -64,6 +63,17 @@ class Digraph:
         self.add_node(target)
         self._succ[source][target] = None
         self._pred[target][source] = None
+
+    def add_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
+        """:meth:`add_edge` for each pair, in one call (bulk loads)."""
+        succ, pred = self._succ, self._pred
+        for source, target in edges:
+            if source not in succ:
+                self.add_node(source)
+            if target not in succ:
+                self.add_node(target)
+            succ[source][target] = None
+            pred[target][source] = None
 
     def remove_edge(self, source: Node, target: Node) -> None:
         if not self.has_edge(source, target):
@@ -135,8 +145,7 @@ class Digraph:
         clone = Digraph()
         for node in self._succ:
             clone.add_node(node)
-        for source, target in self.edges():
-            clone.add_edge(source, target)
+        clone.add_edges(self.edges())
         return clone
 
     def subgraph(self, nodes: Iterable[Node]) -> "Digraph":
@@ -158,8 +167,7 @@ class Digraph:
         rev = Digraph()
         for node in self._succ:
             rev.add_node(node)
-        for source, target in self.edges():
-            rev.add_edge(target, source)
+        rev.add_edges((target, source) for source, target in self.edges())
         return rev
 
     def quotient(self, partition: Iterable[Iterable[Node]],

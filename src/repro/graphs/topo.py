@@ -122,6 +122,33 @@ def descendants_of(graph: Digraph, node: Node) -> List[Node]:
     return found
 
 
+def find_path(graph: Digraph, source: Node, target: Node
+              ) -> Optional[List[Node]]:
+    """One path ``[source, ..., target]``, or ``None`` if there is none.
+
+    Early-exit DFS: it stops as soon as ``target`` is discovered, so
+    asking whether a new edge would close a cycle costs only the part of
+    the graph searched before the answer is known.
+    """
+    if source not in graph:
+        raise NodeNotFoundError(source)
+    parent: Dict[Node, Node] = {source: source}
+    stack = [source]
+    while stack and target not in parent:
+        current = stack.pop()
+        for succ in graph.successors(current):
+            if succ not in parent:
+                parent[succ] = current
+                stack.append(succ)
+    if target not in parent:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
 def ancestors_of(graph: Digraph, node: Node) -> List[Node]:
     """All nodes that reach ``node`` (excluding ``node`` itself)."""
     if node not in graph:

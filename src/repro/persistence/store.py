@@ -55,7 +55,12 @@ from repro.persistence.sqlqueries import SqlLineageQueries
 from repro.provenance.execution import WorkflowRun
 from repro.provenance.model import Artifact, Invocation, ProvenanceGraph
 from repro.provenance.store import ProvenanceStore
-from repro.workflow.jsonio import spec_from_json, spec_to_json
+from repro.workflow.jsonio import (
+    document_task_ids,
+    load_spec_document,
+    spec_from_dict,
+    spec_to_json,
+)
 from repro.workflow.spec import WorkflowSpec
 from repro.workflow.task import TaskId
 
@@ -104,7 +109,11 @@ class DurableProvenanceStore(ProvenanceStore):
         self.kernel = self.options.kernel
         self._conn = open_checked(self.path, readonly=readonly,
                                   timeout_ms=self.options.timeout_ms)
-        spec = self._resolve_spec(spec)
+        try:
+            spec = self._resolve_spec(spec)
+        except BaseException:
+            self._conn.close()  # a refused or unreadable open leaks nothing
+            raise
         super().__init__(spec)
         self._task_by_str = {str(t): t for t in spec.task_ids()}
         self._hydrated = False
@@ -119,12 +128,10 @@ class DurableProvenanceStore(ProvenanceStore):
             "SELECT value FROM meta WHERE key = 'workflow_spec'").fetchone()
         if row is None:
             if spec is None:
-                self._conn.close()
                 raise PersistenceError(
                     f"database {self.path!r} has no workflow pinned; "
                     f"pass a spec to initialize it")
             if self.readonly:
-                self._conn.close()
                 raise PersistenceError(
                     f"database {self.path!r} has no workflow pinned and "
                     f"the connection is read-only")
@@ -136,14 +143,16 @@ class DurableProvenanceStore(ProvenanceStore):
                     "INSERT INTO meta (key, value) VALUES (?, ?)",
                     ("workflow_name", spec.name))
             return spec
-        stored = spec_from_json(row[0])
+        document = load_spec_document(row[0])
         if spec is None:
-            return stored
+            return spec_from_dict(document)
+        # a given spec only needs its task ids checked against the pinned
+        # document; building the stored spec too would be wasted work
         if (set(map(str, spec.task_ids()))
-                != set(map(str, stored.task_ids()))):
-            self._conn.close()
+                != set(map(str, document_task_ids(document)))):
             raise PersistenceError(
-                f"database {self.path!r} pins workflow {stored.name!r}, "
+                f"database {self.path!r} pins workflow "
+                f"{document.get('name', 'workflow')!r}, "
                 f"whose tasks differ from the given spec {spec.name!r}")
         return spec
 

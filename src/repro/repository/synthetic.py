@@ -85,15 +85,11 @@ def synthetic_workflow(seed: int, size: int,
         graph = random_dag(rng, size, min(0.9, 3.0 / max(size - 1, 1)))
     else:
         raise ValueError(f"unknown shape {shape!r}; choose from {SHAPES}")
-    # bulk-load the DAG (one acyclicity check), then tag the tasks —
-    # per-edge add_dependency would re-run Kahn per edge, which is
-    # quadratic and dominates corpus materialization
-    spec = WorkflowSpec.from_digraph(f"synthetic-{shape}-{seed}", graph)
     kinds = list(TASK_KINDS)
     rng.shuffle(kinds)
-    for i, node in enumerate(graph.nodes()):
-        spec.add_task(Task(node, name=f"task-{node}",
-                           kind=kinds[i % len(kinds)]))
+    tasks = [Task(node, name=f"task-{node}", kind=kinds[i % len(kinds)])
+             for i, node in enumerate(graph.nodes())]
+    spec = WorkflowSpec(f"synthetic-{shape}-{seed}", tasks, graph.edges())
     return SyntheticWorkflow(spec=spec, shape=shape, seed=seed)
 
 

@@ -125,12 +125,11 @@ class ViewHierarchy:
         are looking at; level ``index + 1`` is a view over it.
         """
         view = self.level(index)
-        quotient_spec = WorkflowSpec(f"{view.name}-as-spec")
-        for label in view.composite_labels():
-            quotient_spec.add_task(Task(label, name=view.display_name(label)))
-        for source, target in view.quotient.edges():
-            quotient_spec.add_dependency(source, target)
-        return quotient_spec
+        return WorkflowSpec(
+            f"{view.name}-as-spec",
+            [Task(label, name=view.display_name(label))
+             for label in view.composite_labels()],
+            view.quotient.edges())
 
     def unsound_levels(self) -> List[int]:
         """Indices of levels whose *flattened* view is unsound."""

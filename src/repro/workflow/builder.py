@@ -86,13 +86,9 @@ class WorkflowBuilder:
 def spec_from_edges(name: str, edges: Iterable[tuple],
                     extra_tasks: Iterable[TaskId] = ()) -> WorkflowSpec:
     """Build a spec directly from an edge list (tasks created on demand)."""
-    spec = WorkflowSpec(name)
-    for task_id in extra_tasks:
-        spec.add_task(Task(task_id))
+    edges = list(edges)
+    task_ids = dict.fromkeys(extra_tasks)
     for source, target in edges:
-        if source not in spec:
-            spec.add_task(Task(source))
-        if target not in spec:
-            spec.add_task(Task(target))
-        spec.add_dependency(source, target)
-    return spec
+        task_ids.setdefault(source)
+        task_ids.setdefault(target)
+    return WorkflowSpec(name, map(Task, task_ids), edges)

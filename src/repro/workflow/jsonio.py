@@ -18,7 +18,7 @@ hashables are stringified on write, which is documented rather than hidden.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.errors import SerializationError
 from repro.workflow.spec import WorkflowSpec
@@ -51,7 +51,47 @@ def spec_to_dict(spec: WorkflowSpec) -> Dict[str, Any]:
 
 
 def spec_from_dict(document: Dict[str, Any]) -> WorkflowSpec:
-    """Rebuild a spec from :func:`spec_to_dict` output."""
+    """Rebuild a spec from :func:`spec_to_dict` output in one O(V+E) pass."""
+    _check_format(document)
+    try:
+        tasks = [Task(entry["id"],
+                      name=entry.get("name", ""),
+                      kind=entry.get("kind", "atomic"),
+                      params=entry.get("params", {}))
+                 for entry in document["tasks"]]
+        return WorkflowSpec(document.get("name", "workflow"), tasks,
+                            document["dependencies"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed workflow document: {exc}") from exc
+
+
+def spec_to_json(spec: WorkflowSpec, indent: int = 2) -> str:
+    return json.dumps(spec_to_dict(spec), indent=indent, sort_keys=False)
+
+
+def spec_from_json(text: str) -> WorkflowSpec:
+    return spec_from_dict(load_spec_document(text))
+
+
+def load_spec_document(text: str) -> Dict[str, Any]:
+    """Parse and format-check a spec document without building the spec."""
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"invalid JSON: {exc}") from exc
+    _check_format(document)
+    return document
+
+
+def document_task_ids(document: Dict[str, Any]) -> List[Any]:
+    """The task ids a spec document declares, in document order."""
+    try:
+        return [entry["id"] for entry in document["tasks"]]
+    except (KeyError, TypeError) as exc:
+        raise SerializationError(f"malformed workflow document: {exc}") from exc
+
+
+def _check_format(document: Any) -> None:
     if not isinstance(document, dict):
         raise SerializationError("workflow document must be an object")
     if document.get("format") != FORMAT_NAME:
@@ -60,30 +100,6 @@ def spec_from_dict(document: Dict[str, Any]) -> WorkflowSpec:
     if document.get("version") != FORMAT_VERSION:
         raise SerializationError(
             f"unsupported version {document.get('version')!r}")
-    spec = WorkflowSpec(document.get("name", "workflow"))
-    try:
-        for entry in document["tasks"]:
-            spec.add_task(Task(entry["id"],
-                               name=entry.get("name", ""),
-                               kind=entry.get("kind", "atomic"),
-                               params=entry.get("params", {})))
-        for source, target in document["dependencies"]:
-            spec.add_dependency(source, target)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed workflow document: {exc}") from exc
-    return spec
-
-
-def spec_to_json(spec: WorkflowSpec, indent: int = 2) -> str:
-    return json.dumps(spec_to_dict(spec), indent=indent, sort_keys=False)
-
-
-def spec_from_json(text: str) -> WorkflowSpec:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid JSON: {exc}") from exc
-    return spec_from_dict(document)
 
 
 def view_to_dict(view: "Any") -> Dict[str, Any]:

@@ -81,7 +81,7 @@ def spec_from_moml(text: str, name: Optional[str] = None
     if root.tag != "entity":
         raise SerializationError(
             f"MOML root must be an <entity>, got <{root.tag}>")
-    spec = WorkflowSpec(name if name is not None else root.get("name", "workflow"))
+    tasks: List[Task] = []
     grouping: Dict[str, List[str]] = {}
 
     def read_atomic(element: ET.Element, group: Optional[str]) -> None:
@@ -95,7 +95,7 @@ def spec_from_moml(text: str, name: Optional[str] = None
                 display = prop.get("value", "")
             elif prop.get("name") == "kind":
                 kind = prop.get("value", "atomic")
-        spec.add_task(Task(task_id, name=display, kind=kind))
+        tasks.append(Task(task_id, name=display, kind=kind))
         if group is not None:
             grouping.setdefault(group, []).append(task_id)
 
@@ -125,7 +125,9 @@ def spec_from_moml(text: str, name: Optional[str] = None
         if "output" not in ends or "input" not in ends:
             raise SerializationError(
                 f"relation {relation!r} lacks an output/input link pair")
-        spec.add_dependency(ends["output"], ends["input"])
+    spec = WorkflowSpec(
+        name if name is not None else root.get("name", "workflow"), tasks,
+        [(ends["output"], ends["input"]) for ends in relation_ends.values()])
     return spec, (grouping if nested else None)
 
 

@@ -163,15 +163,11 @@ class PortedWorkflow:
 
     def to_spec(self) -> WorkflowSpec:
         """The task-level projection (ports collapsed)."""
-        spec = WorkflowSpec(self.name)
-        for task in self._tasks.values():
-            spec.add_task(task.to_task())
-        seen = set()
-        for (source_task, _), (target_task, _) in self._connections:
-            if (source_task, target_task) not in seen:
-                seen.add((source_task, target_task))
-                spec.add_dependency(source_task, target_task)
-        return spec
+        # parallel port links collapse into one task-level dependency
+        return WorkflowSpec(
+            self.name, [task.to_task() for task in self._tasks.values()],
+            [(source_task, target_task) for (source_task, _), (target_task, _)
+             in self._connections])
 
     def to_moml(self) -> str:
         """MOML with faithful port names on every link."""

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.errors import CycleError, WorkflowError
 from repro.graphs.dag import Digraph
 from repro.graphs.reachability import ReachabilityIndex
-from repro.graphs.topo import is_acyclic, topological_sort
+from repro.graphs.topo import find_cycle, find_path, is_acyclic, topological_sort
 from repro.workflow.task import Task, TaskId
 
 
@@ -39,33 +39,43 @@ class WorkflowSpec:
         self._graph = Digraph()
         self._index: Optional[ReachabilityIndex] = None
         self._version = 0
-        for task in tasks:
-            self.add_task(task)
-        for source, target in dependencies:
-            self.add_dependency(source, target)
+        self._load(tasks, dependencies)
 
     # -- construction ------------------------------------------------------
 
+    def _load(self, tasks: Iterable[Task],
+              dependencies: Iterable[Tuple[TaskId, TaskId]]) -> None:
+        """Bulk-register ``tasks``, then add ``dependencies``, in O(V+E).
+
+        The one path every whole-spec construction takes (the
+        constructor, :meth:`from_digraph`, :meth:`copy`, the JSON/MOML
+        loaders...).  It yields exactly the spec of the per-edge
+        ``add_task``/``add_dependency`` loop — same tasks, same
+        dependency order, same error types — but tests acyclicity once
+        at the end instead of once per edge.
+        """
+        known = self._tasks
+        graph = self._graph
+        for task in tasks:
+            known[task.task_id] = task
+            graph.add_node(task.task_id)
+        edges = list(dependencies)
+        for source, target in edges:
+            if source not in known or target not in known or source == target:
+                self._check_endpoints(source, target)  # raises
+        graph.add_edges(edges)
+        cycle = find_cycle(graph)
+        if cycle is not None:
+            raise CycleError(
+                "workflow dependencies form a cycle: "
+                + " -> ".join(map(repr, cycle)), cycle=cycle)
+        self._invalidate()
+
     @classmethod
     def from_digraph(cls, name: str, graph: Digraph) -> "WorkflowSpec":
-        """Bulk-build a spec from an existing DAG, checking acyclicity once.
-
-        ``add_dependency`` re-checks acyclicity per edge — right for
-        interactive edits, quadratic for bulk loads.  Generators and
-        benchmarks construct thousand-task workflows through this path.
-        """
-        if not is_acyclic(graph):
-            raise CycleError("workflow dependency graph is cyclic")
-        spec = cls(name)
-        for node in graph.nodes():
-            spec._tasks[node] = Task(node)
-            spec._graph.add_node(node)
-        for source, target in graph.edges():
-            if source == target:
-                raise WorkflowError(f"self dependency on task {source!r}")
-            spec._graph.add_edge(source, target)
-        spec._invalidate()
-        return spec
+        """A spec with one anonymous task per node of ``graph``."""
+        return cls(name, (Task(node) for node in graph.nodes()),
+                   graph.edges())
 
     def add_task(self, task: Task) -> Task:
         """Register ``task``; re-adding an id replaces the task object."""
@@ -75,19 +85,28 @@ class WorkflowSpec:
         return task
 
     def add_dependency(self, source: TaskId, target: TaskId) -> None:
-        """Record that ``target`` consumes the output of ``source``."""
+        """Record that ``target`` consumes the output of ``source``.
+
+        Only ``target`` reaching ``source`` can close a cycle, so the
+        check is one early-exit search from ``target``, not a full sort;
+        a rejected edge is never added.
+        """
+        self._check_endpoints(source, target)
+        path = find_path(self._graph, target, source)
+        if path is not None:
+            raise CycleError(
+                f"dependency {source!r} -> {target!r} would create a cycle",
+                cycle=[source] + path)
+        self._graph.add_edge(source, target)
+        self._invalidate()
+
+    def _check_endpoints(self, source: TaskId, target: TaskId) -> None:
         if source not in self._tasks:
             raise WorkflowError(f"unknown task {source!r}")
         if target not in self._tasks:
             raise WorkflowError(f"unknown task {target!r}")
         if source == target:
             raise WorkflowError(f"self dependency on task {source!r}")
-        self._graph.add_edge(source, target)
-        if not is_acyclic(self._graph):
-            self._graph.remove_edge(source, target)
-            raise CycleError(
-                f"dependency {source!r} -> {target!r} would create a cycle")
-        self._invalidate()
 
     def remove_dependency(self, source: TaskId, target: TaskId) -> None:
         self._graph.remove_edge(source, target)
@@ -169,12 +188,8 @@ class WorkflowSpec:
     # -- misc ----------------------------------------------------------------
 
     def copy(self, name: Optional[str] = None) -> "WorkflowSpec":
-        clone = WorkflowSpec(name if name is not None else self.name)
-        for task in self.tasks():
-            clone.add_task(task)
-        for source, target in self.dependencies():
-            clone.add_dependency(source, target)
-        return clone
+        return WorkflowSpec(name if name is not None else self.name,
+                            self.tasks(), self.dependencies())
 
     def validate(self) -> None:
         """Raise :class:`WorkflowError`/:class:`CycleError` on a bad spec."""

@@ -8,6 +8,7 @@ from repro.graphs.topo import (
     ancestors_of,
     descendants_of,
     find_cycle,
+    find_path,
     is_acyclic,
     layers,
     longest_path_length,
@@ -74,6 +75,26 @@ class TestFindCycle:
         g = Digraph([(1, 2), (10, 11), (11, 10)])
         cycle = find_cycle(g)
         assert set(cycle) == {10, 11}
+
+
+class TestFindPath:
+    def test_path_follows_edges(self):
+        g = Digraph([(1, 2), (2, 3), (1, 4), (4, 3), (3, 5)])
+        path = find_path(g, 1, 5)
+        assert path[0] == 1 and path[-1] == 5
+        assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+
+    def test_no_path(self):
+        g = Digraph([(1, 2), (3, 2)])
+        assert find_path(g, 2, 1) is None
+        assert find_path(g, 1, 3) is None
+
+    def test_trivial_path(self):
+        assert find_path(Digraph([(1, 2)]), 1, 1) == [1]
+
+    def test_unknown_source(self):
+        with pytest.raises(NodeNotFoundError):
+            find_path(Digraph([(1, 2)]), 9, 1)
 
 
 class TestLayers:
