@@ -57,8 +57,9 @@ def composites_combinable(view: WorkflowView,
                           labels: Iterable[CompositeLabel]) -> bool:
     """Definition 2.4 at the view level: can these composites merge soundly?
 
-    Used by the Feedback module to warn the user before a merge, and by
-    tests to cross-check the bitmask implementation.
+    The Feedback module reads the same answer off its post-merge
+    revalidation; tests use this as the oracle for that warning and to
+    cross-check the bitmask implementation.
     """
     from repro.core.soundness import is_sound_composite
 

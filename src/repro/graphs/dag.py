@@ -1,7 +1,8 @@
 """A small, explicit directed graph.
 
 The class is intentionally minimal: nodes are arbitrary hashable values,
-edges are unlabelled, and insertion order is preserved everywhere so that
+edges are unlabelled (a quotient stores each edge's multiplicity as its
+adjacency value), and insertion order is preserved everywhere so that
 every algorithm in the library is deterministic.  It is *not* required to be
 acyclic — acyclicity is a property checked by :mod:`repro.graphs.topo` —
 because the view quotient of a bad partition can be cyclic and we need to
@@ -10,7 +11,20 @@ represent it in order to reject it.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
+from collections import Counter
+from itertools import chain, filterfalse
+from typing import (
+    Collection,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.errors import (
     DuplicateNodeError,
@@ -19,6 +33,8 @@ from repro.errors import (
 )
 
 Node = Hashable
+#: blocks of nodes, or a mapping from each node to its block's name
+QuotientPartition = Union[Iterable[Iterable[Node]], Mapping[Node, Node]]
 
 
 class Digraph:
@@ -35,8 +51,9 @@ class Digraph:
     __slots__ = ("_succ", "_pred")
 
     def __init__(self, edges: Iterable[Tuple[Node, Node]] = ()) -> None:
-        self._succ: Dict[Node, Dict[Node, None]] = {}
-        self._pred: Dict[Node, Dict[Node, None]] = {}
+        # adjacency values are None, or edge multiplicities in a quotient
+        self._succ: Dict[Node, Dict[Node, Optional[int]]] = {}
+        self._pred: Dict[Node, Dict[Node, Optional[int]]] = {}
         self.add_edges(edges)
 
     # -- construction ------------------------------------------------------
@@ -170,34 +187,129 @@ class Digraph:
         rev.add_edges((target, source) for source, target in self.edges())
         return rev
 
-    def quotient(self, partition: Iterable[Iterable[Node]],
-                 labels: Iterable[Node] = None) -> "Digraph":
+    def quotient(self, partition: QuotientPartition,
+                 labels: Iterable[Node] = None,
+                 base: Optional[Tuple["Digraph", Mapping[Node, Node],
+                                      Collection[Node]]] = None
+                 ) -> "Digraph":
         """Collapse each block of ``partition`` into a single node.
 
-        ``labels`` names the quotient nodes (defaults to block indices).
-        Every inter-block edge of this graph induces a quotient edge; edges
-        inside a block are dropped.  The blocks must cover every node exactly
-        once — that invariant is the caller's (the view layer validates it).
+        ``partition`` is a list of blocks, or a mapping from each node to
+        its block's name (``labels`` then lists the names, and is
+        required).  ``labels`` names the quotient nodes (defaults to block
+        indices).  Every inter-block edge of this graph induces a quotient
+        edge; edges inside a block are dropped.  The blocks must cover every
+        node exactly once — that invariant is the caller's (the view layer
+        validates it).
+
+        Each quotient edge's value is its multiplicity, the number of edges
+        of this graph it stands for.  Nodes, successors and predecessors
+        all follow the order of the block names.
+
+        ``base`` derives the quotient from an earlier one in O(degree of
+        the changed nodes): it is ``(quotient, owner, changed)``, the
+        quotient of this graph under the node-to-block mapping ``owner``
+        plus every node whose block differs from ``partition``'s.  Only
+        edges with a changed endpoint are visited, each moving one unit of
+        multiplicity from its old block pair to its new one; the result
+        equals a from-scratch quotient edge for edge, in order.  Without
+        ``base`` every node counts as changed.
         """
-        blocks = [list(block) for block in partition]
-        if labels is None:
-            names: List[Node] = list(range(len(blocks)))
+        if isinstance(partition, Mapping):
+            if labels is None:
+                raise ValueError("a node-to-block mapping needs labels")
+            owner, names = partition, list(labels)
         else:
-            names = list(labels)
-            if len(names) != len(blocks):
-                raise ValueError("labels and partition differ in length")
-        owner: Dict[Node, Node] = {}
-        for name, block in zip(names, blocks):
-            for node in block:
-                owner[node] = name
+            blocks = [list(block) for block in partition]
+            if labels is None:
+                names = list(range(len(blocks)))
+            else:
+                names = list(labels)
+                if len(names) != len(blocks):
+                    raise ValueError("labels and partition differ in length")
+            owner = {}
+            for name, block in zip(names, blocks):
+                for node in block:
+                    owner[node] = name
+        pairs: Dict[Tuple[Node, Node], int] = {}
+        position = {name: i for i, name in enumerate(names)}
+        if base is None:
+            self._count_block_pairs(pairs, owner,
+                                    owner.keys() & self._succ.keys(), 1)
+            succ: Dict[Node, Dict[Node, int]] = {name: {} for name in names}
+            pred: Dict[Node, Dict[Node, int]] = {name: {} for name in names}
+            reordered = False
+        else:
+            old, old_owner, changed = base
+            self._count_block_pairs(pairs, owner, changed, 1)
+            self._count_block_pairs(pairs, old_owner, changed, -1)
+            succ = {name: dict(old._succ[name]) if name in old._succ else {}
+                    for name in names}
+            pred = {name: dict(old._pred[name]) if name in old._pred else {}
+                    for name in names}
+            # kept nodes must keep their relative order for the copied
+            # rows to stay sorted; otherwise every row is re-sorted
+            reordered = ([name for name in old._succ if name in position]
+                         != [name for name in names if name in old._succ])
+        fresh_succ, fresh_pred = set(), set()
+        for (a, b), delta in pairs.items():
+            if not delta:
+                continue
+            out, into = succ.get(a), pred.get(b)
+            if out is None or into is None:
+                # a vanished block's pairs net to zero: drop the other end
+                if out is not None:
+                    del out[b]
+                if into is not None:
+                    del into[a]
+                continue
+            count = out.get(b, 0) + delta
+            if count:
+                if b not in out:
+                    fresh_succ.add(a)
+                    fresh_pred.add(b)
+                out[b] = into[a] = count
+            else:
+                del out[b]
+                del into[a]
+        rank = position.__getitem__
+        for rows, fresh in ((succ, fresh_succ), (pred, fresh_pred)):
+            for name in (rows if reordered else fresh):
+                row = rows[name]
+                rows[name] = {key: row[key] for key in sorted(row, key=rank)}
         q = Digraph()
-        for name in names:
-            q.add_node(name)
-        for source, target in self.edges():
-            a, b = owner[source], owner[target]
-            if a != b:
-                q.add_edge(a, b)
+        q._succ, q._pred = succ, pred
         return q
+
+    def _count_block_pairs(self, pairs: Dict[Tuple[Node, Node], int],
+                           owner: Mapping[Node, Node],
+                           changed: Collection[Node], sign: int) -> None:
+        """Add ``sign`` x the block pairs, under ``owner``, of every edge
+        with an endpoint in ``changed`` (a set; edges inside a block are
+        skipped)."""
+        groups: Dict[Node, List[Node]] = {}
+        for node in changed:
+            groups.setdefault(owner[node], []).append(node)
+        block_of = owner.__getitem__
+        succ_of, pred_of = self._succ.__getitem__, self._pred.__getitem__
+        # an edge between two changed nodes is counted once, as an out-edge
+        outside = len(changed) < len(self._succ)
+        is_changed = changed.__contains__
+        for block, members in groups.items():
+            targets = Counter(map(block_of, chain.from_iterable(
+                map(succ_of, members))))
+            targets.pop(block, None)
+            for other, count in targets.items():
+                key = (block, other)
+                pairs[key] = pairs.get(key, 0) + sign * count
+            if not outside:
+                continue
+            sources = Counter(map(block_of, filterfalse(
+                is_changed, chain.from_iterable(map(pred_of, members)))))
+            sources.pop(block, None)
+            for other, count in sources.items():
+                key = (other, block)
+                pairs[key] = pairs.get(key, 0) + sign * count
 
     # -- misc ----------------------------------------------------------------
 

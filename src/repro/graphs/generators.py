@@ -68,19 +68,20 @@ def layered_dag(rng: random.Random, n_layers: int, width: int,
     graph = Digraph()
     for node in range(next_id):
         graph.add_node(node)
+    draw = rng.random
+    edges: List[tuple] = []
+    earlier: List[int] = []  # every stage before the previous one
     for depth in range(1, n_layers):
+        previous = stages[depth - 1]
+        if depth >= 2:
+            earlier.extend(stages[depth - 2])
         for node in stages[depth]:
-            wired = False
-            for prev in stages[depth - 1]:
-                if rng.random() < edge_prob:
-                    graph.add_edge(prev, node)
-                    wired = True
-            if not wired:
-                graph.add_edge(rng.choice(stages[depth - 1]), node)
-            for earlier_depth in range(depth - 1):
-                for earlier in stages[earlier_depth]:
-                    if rng.random() < skip_prob:
-                        graph.add_edge(earlier, node)
+            wired = [(prev, node) for prev in previous
+                     if draw() < edge_prob]
+            edges.extend(wired or [(rng.choice(previous), node)])
+            edges.extend([(task, node) for task in earlier
+                          if draw() < skip_prob])
+    graph.add_edges(edges)
     return graph
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from repro.core.combinable import composites_combinable
 from repro.core.incremental import AnalysisCache, EditEvent
 from repro.core.soundness import ValidationReport, validate_view
 from repro.errors import ViewError
@@ -56,44 +55,32 @@ def create_composite_task(view: WorkflowView,
                           ) -> FeedbackOutcome:
     """Merge the selected composites and re-validate.
 
-    A warning is attached when the merge is known not combinable (the
-    resulting composite will be unsound or the view ill-formed); the merge
-    is still performed — the user is in charge — unless it would break the
-    partition itself.
+    A warning is attached when the merge is not combinable (the resulting
+    composite is unsound or the view ill-formed), read off the
+    re-validation itself; the merge is still performed — the user is in
+    charge — unless it would break the partition itself.
     """
     merge_labels = list(labels)
-    warning = None
-    if not composites_combinable(view, merge_labels):
-        warning = ("merging " + ", ".join(str(l) for l in merge_labels)
-                   + " does not yield a sound composite")
     merged = view.merge(merge_labels, new_label=new_label)
     resulting_label = new_label if new_label is not None \
         else WorkflowView.merged_label(merge_labels)
     event = EditEvent.merge(merge_labels, resulting_label)
-    return FeedbackOutcome(view=merged,
-                           report=_revalidate(merged, event, cache),
-                           warning=warning, event=event)
+    report = _revalidate(merged, event, cache)
+    warning = None
+    if not report.well_formed or resulting_label in report.witnesses:
+        warning = ("merging " + ", ".join(str(l) for l in merge_labels)
+                   + " does not yield a sound composite")
+    return FeedbackOutcome(view=merged, report=report, warning=warning,
+                           event=event)
 
 
 def move_task(view: WorkflowView, task_id, target_label: CompositeLabel,
               cache: Optional[AnalysisCache] = None) -> FeedbackOutcome:
     """Move one task into another composite and re-validate."""
     source_label = view.composite_of(task_id)
-    if source_label == target_label:
-        raise ViewError(f"task {task_id!r} is already in {target_label!r}")
-    groups = view.groups()
-    if len(groups[source_label]) == 1:
-        # the donor composite disappears
-        del groups[source_label]
-    else:
-        groups[source_label] = [t for t in groups[source_label]
-                                if t != task_id]
-    if target_label not in groups:
-        raise ViewError(f"unknown composite {target_label!r}")
-    groups[target_label] = groups[target_label] + [task_id]
-    moved = WorkflowView(view.spec, groups, name=view.name)
+    moved = view.move(task_id, target_label)
     event = EditEvent.move(source_label, target_label,
-                           source_survives=source_label in groups)
+                           source_survives=source_label in moved)
     return FeedbackOutcome(view=moved,
                            report=_revalidate(moved, event, cache),
                            event=event)

@@ -137,7 +137,6 @@ def perturb_view(rng: random.Random, view: WorkflowView, moves: int = 1,
     is the point.
     """
     current = view
-    spec = view.spec
     attempts = 0
     applied = 0
     while applied < moves and attempts < moves * 20:
@@ -152,10 +151,7 @@ def perturb_view(rng: random.Random, view: WorkflowView, moves: int = 1,
         receivers = [label for label in groups if label != donor]
         if not receivers:
             break
-        receiver = rng.choice(receivers)
-        groups[donor] = [t for t in groups[donor] if t != task]
-        groups[receiver] = groups[receiver] + [task]
-        candidate = WorkflowView(spec, groups, name=name)
+        candidate = current.move(task, rng.choice(receivers))
         if candidate.is_well_formed():
             current = candidate
             applied += 1

@@ -8,9 +8,27 @@ acyclicity of the quotient — ill-formed views must be representable so that
 the validator can reject them with a witness (see
 :mod:`repro.views.wellformed`).
 
-Views are immutable: the editing operations (:meth:`WorkflowView.split`,
-:meth:`WorkflowView.merge`) return new views, which is what lets the
-Feedback module iterate safely.
+Views are immutable: the editing operations (:meth:`WorkflowView.move`,
+:meth:`WorkflowView.split`, :meth:`WorkflowView.merge`) return new views,
+which is what lets the Feedback module iterate safely.
+
+An edited view is *derived* from its parent rather than rebuilt.  The child
+shares the parent's member lists for every composite the edit did not
+touch, copies the owner map and the small quotient, checks the partition
+property only for the touched composites' tasks, and moves each quotient
+edge's multiplicity (the count of spec edges it stands for, stored as the
+quotient's adjacency value) only over the spec edges incident to tasks
+that changed composite.  An edit therefore costs O(degree of the changed
+tasks), not O(spec edges).  A full build runs the same code with every
+task changed.
+
+The derivation is only valid against the spec the parent was built from:
+when ``spec.version`` has moved past the parent's :attr:`spec_token`, the
+child is built from scratch instead.  Either way the quotient uses one
+canonical adjacency order — nodes, successors and predecessors all follow
+the view's composite order — so a derived view's ``quotient.edges()``,
+its cycle witnesses and therefore its validation report equal those of
+``WorkflowView(spec, view.groups())`` exactly.
 """
 
 from __future__ import annotations
@@ -34,16 +52,37 @@ class WorkflowView:
                  groups: Mapping[CompositeLabel, Iterable[TaskId]],
                  name: str = "view",
                  labels: Optional[Mapping[CompositeLabel, str]] = None) -> None:
+        self._build(spec, {label: list(members)
+                           for label, members in groups.items()},
+                    name, dict(labels or {}))
+
+    def _build(self, spec: WorkflowSpec,
+               members: Dict[CompositeLabel, List[TaskId]], name: str,
+               display: Dict[CompositeLabel, str],
+               parent: Optional["WorkflowView"] = None,
+               touched: Iterable[CompositeLabel] = ()) -> None:
+        """Set up this view, derived from ``parent`` when it is current.
+
+        ``touched`` names every composite whose member list differs from
+        ``parent``'s, including those the edit removed; the member lists
+        of all other composites are shared with ``parent``.
+        """
         self.name = name
         self._spec = spec
-        self._members: Dict[CompositeLabel, List[TaskId]] = {
-            label: list(members) for label, members in groups.items()
-        }
-        self._display: Dict[CompositeLabel, str] = dict(labels or {})
-        self._owner: Dict[TaskId, CompositeLabel] = {}
-        self._validate_partition()
-        self._quotient = spec.graph.quotient(
-            self._members.values(), labels=list(self._members))
+        self._members = members
+        self._display = display
+        if parent is not None and parent._spec_token == spec.version:
+            self._owner = dict(parent._owner)
+            changed = {task for task, label
+                       in self._claim(touched, parent).items()
+                       if parent._owner[task] != label}
+            self._quotient = spec.graph.quotient(
+                self._owner, members,
+                base=(parent._quotient, parent._owner, changed))
+        else:
+            self._owner = {}
+            self._validate_partition()
+            self._quotient = spec.graph.quotient(self._owner, members)
         self._view_index: Optional[ReachabilityIndex] = None
         self._quotient_cycle: Optional[List[CompositeLabel]] = None
         self._quotient_cycle_checked = False
@@ -54,25 +93,66 @@ class WorkflowView:
         # analysis caches compare this token against spec.version
         self._spec_token = spec.version
 
+    def _derive(self, members: Dict[CompositeLabel, List[TaskId]],
+                touched: Iterable[CompositeLabel],
+                name: Optional[str] = None) -> "WorkflowView":
+        """The child view with partition ``members`` (see :meth:`_build`)."""
+        child = WorkflowView.__new__(WorkflowView)
+        child._build(self._spec, members,
+                     self.name if name is None else name, self._display,
+                     parent=self, touched=touched)
+        return child
+
     def _validate_partition(self) -> None:
-        for label, members in self._members.items():
-            if not members:
+        """Check the whole partition (a full build)."""
+        self._claim(self._members, None)
+
+    def _claim(self, touched: Iterable[CompositeLabel],
+               parent: Optional["WorkflowView"]
+               ) -> Dict[TaskId, CompositeLabel]:
+        """Record the owners of the touched composites' members, checking
+        the partition property for those tasks only; returns them.
+
+        ``touched`` must name every composite of ``parent`` (every
+        composite, without a parent) whose membership changed or vanished.
+        """
+        members = self._members
+        before = parent._owner if parent is not None else {}
+        touched = list(dict.fromkeys(touched))
+        replaced = set(touched)
+        claimed: Dict[TaskId, CompositeLabel] = {}
+        for label in touched:
+            if label not in members:
+                continue
+            if not members[label]:
                 raise NotAPartitionError(
                     f"composite {label!r} has no member tasks")
-            for member in members:
+            for member in members[label]:
                 if member not in self._spec:
                     raise NotAPartitionError(
                         f"composite {label!r} references unknown task "
                         f"{member!r}")
-                if member in self._owner:
-                    raise NotAPartitionError(
-                        f"task {member!r} appears in composites "
-                        f"{self._owner[member]!r} and {label!r}")
-                self._owner[member] = label
-        missing = [t for t in self._spec.task_ids() if t not in self._owner]
-        if missing:
+                if member in claimed:
+                    other = claimed[member]
+                elif member in before and before[member] not in replaced:
+                    other = before[member]  # kept by an untouched composite
+                else:
+                    claimed[member] = label
+                    continue
+                raise NotAPartitionError(
+                    f"task {member!r} appears in composites "
+                    f"{other!r} and {label!r}")
+        self._owner.update(claimed)
+        if parent is None:
+            released = self._spec.task_ids()
+        else:
+            released = [task for label in touched if label in parent
+                        for task in parent._members[label]]
+        if len(claimed) != len(released):
+            missing = [t for t in released if t not in claimed]
             raise NotAPartitionError(
                 f"tasks not covered by any composite: {missing!r}")
+        return claimed
 
     # -- structure ---------------------------------------------------------
 
@@ -207,8 +287,7 @@ class WorkflowView:
                     groups[part_name] = part
             else:
                 groups[existing] = members
-        return WorkflowView(self._spec, groups, name=self.name,
-                            labels=self._display)
+        return self._derive(groups, [label, *names])
 
     @staticmethod
     def merged_label(merge_labels: Iterable[CompositeLabel]) -> str:
@@ -239,12 +318,28 @@ class WorkflowView:
                     inserted = True
             else:
                 groups[existing] = members
-        return WorkflowView(self._spec, groups, name=self.name,
-                            labels=self._display)
+        return self._derive(groups, [*merging, new_label])
+
+    def move(self, task_id: TaskId,
+             target: CompositeLabel) -> "WorkflowView":
+        """Move one task into composite ``target`` (the Feedback module's
+        *Move*); a donor left empty disappears."""
+        source = self.composite_of(task_id)
+        if source == target:
+            raise ViewError(f"task {task_id!r} is already in {target!r}")
+        if target not in self._members:
+            raise ViewError(f"unknown composite {target!r}")
+        groups = dict(self._members)
+        remaining = [t for t in groups[source] if t != task_id]
+        if remaining:
+            groups[source] = remaining
+        else:
+            del groups[source]
+        groups[target] = groups[target] + [task_id]
+        return self._derive(groups, (source, target))
 
     def relabeled(self, name: str) -> "WorkflowView":
-        return WorkflowView(self._spec, self._members, name=name,
-                            labels=self._display)
+        return self._derive(self._members, (), name=name)
 
     # -- misc ----------------------------------------------------------------
 

@@ -152,6 +152,31 @@ class TestDerivedGraphs:
         with pytest.raises(ValueError):
             g.quotient([[1], [2]], labels=["only-one"])
 
+    def test_quotient_counts_follow_label_order(self):
+        g = Digraph([(1, 3), (2, 3), (3, 4), (1, 4)])
+        q = g.quotient([[4], [1, 2], [3]], labels=["C", "A", "B"])
+        assert q.nodes() == ["C", "A", "B"]
+        assert q.edges() == [("A", "C"), ("A", "B"), ("B", "C")]
+        assert q._succ["A"] == {"C": 1, "B": 2}
+        assert list(q._pred["C"].items()) == [("A", 1), ("B", 1)]
+
+    def test_quotient_derived_from_a_base(self):
+        g = Digraph([(1, 3), (2, 3), (3, 4), (1, 4), (2, 4)])
+        names = ["A", "B", "C"]
+        before = {1: "A", 2: "A", 3: "B", 4: "C"}
+        after = {1: "A", 2: "C", 3: "B", 4: "C"}
+        base = g.quotient(before, labels=names)
+        derived = g.quotient(after, labels=names, base=(base, before, {2}))
+        scratch = g.quotient(after, labels=names)
+        assert derived.edges() == scratch.edges() \
+            == [("A", "B"), ("A", "C"), ("B", "C"), ("C", "B")]
+        assert derived._succ["A"] == {"B": 1, "C": 1}
+        for name in names:
+            assert list(derived._succ[name].items()) \
+                == list(scratch._succ[name].items())
+            assert list(derived._pred[name].items()) \
+                == list(scratch._pred[name].items())
+
 
 class TestEquality:
     def test_equal_graphs(self):

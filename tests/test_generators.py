@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.graphs.dag import Digraph
 from repro.graphs.generators import (
     layered_dag,
     random_dag,
@@ -62,6 +63,53 @@ class TestLayeredDag:
     def test_single_layer(self):
         g = layered_dag(random.Random(0), 1, 4)
         assert g.edge_count() == 0
+
+    @pytest.mark.parametrize("seed, layers, width, sizes, probs", [
+        (0, 6, 4, None, {}),
+        (7, 12, 5, None, {"edge_prob": 0.3, "skip_prob": 0.4}),
+        (2009, 3, 9, [9, 1, 9], {"edge_prob": 0.0}),
+        # the repository benchmark's edit workload spec
+        ("edit-spec", 200, 10, [10] * 200, {}),
+    ])
+    def test_matches_the_per_edge_loop(self, seed, layers, width, sizes,
+                                       probs):
+        fast_rng, slow_rng = random.Random(seed), random.Random(seed)
+        fast = layered_dag(fast_rng, layers, width, stage_sizes=sizes,
+                           **probs)
+        slow = _layered_dag_per_edge(slow_rng, layers, width,
+                                     stage_sizes=sizes, **probs)
+        assert fast.nodes() == slow.nodes()
+        assert fast.edges() == slow.edges()
+        assert fast_rng.getstate() == slow_rng.getstate()
+
+
+def _layered_dag_per_edge(rng, n_layers, width, edge_prob=0.5,
+                          skip_prob=0.1, stage_sizes=None):
+    """The original one-``add_edge``-per-draw loop (the oracle)."""
+    if stage_sizes is None:
+        stage_sizes = [rng.randint(1, width) for _ in range(n_layers)]
+    n_layers = len(stage_sizes)
+    stages, next_id = [], 0
+    for size in stage_sizes:
+        stages.append(list(range(next_id, next_id + size)))
+        next_id += size
+    graph = Digraph()
+    for node in range(next_id):
+        graph.add_node(node)
+    for depth in range(1, n_layers):
+        for node in stages[depth]:
+            wired = False
+            for prev in stages[depth - 1]:
+                if rng.random() < edge_prob:
+                    graph.add_edge(prev, node)
+                    wired = True
+            if not wired:
+                graph.add_edge(rng.choice(stages[depth - 1]), node)
+            for earlier_depth in range(depth - 1):
+                for earlier in stages[earlier_depth]:
+                    if rng.random() < skip_prob:
+                        graph.add_edge(earlier, node)
+    return graph
 
 
 class TestSeriesParallel:
